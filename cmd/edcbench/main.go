@@ -31,7 +31,17 @@ import (
 	"edc/internal/ssd"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// fail reports err on stderr and returns the error exit status.
+func fail(err error) int {
+	fmt.Fprintf(os.Stderr, "edcbench: %v\n", err)
+	return 1
+}
+
+// run is the command with an exit status instead of os.Exit, so the
+// deferred profile writers complete on every path, errors included.
+func run() (code int) {
 	var (
 		experiment = flag.String("experiment", "", "experiment ID (empty = all)")
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
@@ -46,8 +56,8 @@ func main() {
 		dedupOn    = flag.Bool("dedup", false, "enable content-addressed deduplication (default policy) in every replay (see DESIGN.md §14; deterministic for a fixed seed)")
 		dupRatio   = flag.Float64("dup-ratio", 0, "fraction of payload content regions cloned from a small pool (0 = stock profile; pair with -dedup to give the content index something to find)")
 		dupUni     = flag.Int("dup-universe", 0, "distinct clone payloads the -dup-ratio pool draws from (default 64)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run (any mode) to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit (any mode)")
 
 		serve   = flag.Bool("serve", false, "run an open-loop serve workload (requires -spec) instead of an experiment")
 		spec    = flag.String("spec", "", "with -serve: workload spec — a file path, or inline DSL with ';' separating steps (e.g. \"d=2s qps=500 rw=0.5; qps=2000\")")
@@ -65,12 +75,35 @@ func main() {
 	)
 	flag.Parse()
 
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return fail(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return fail(err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil && code == 0 {
+				code = fail(err)
+			}
+		}()
+	}
+	if *memProfile != "" {
+		defer func() {
+			if err := writeHeapProfile(*memProfile); err != nil && code == 0 {
+				code = fail(err)
+			}
+		}()
+	}
+
 	var plan *edc.FaultPlan
 	if *faults != "" {
 		p, err := edc.ParseFaultPlan(*faults)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "edcbench: -faults: %v\n", err)
-			os.Exit(1)
+			return fail(fmt.Errorf("-faults: %v", err))
 		}
 		plan = p
 	}
@@ -95,10 +128,9 @@ func main() {
 			jsonOut:   *jsonOut,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "edcbench: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
 	if *replayWl != "" {
@@ -122,10 +154,9 @@ func main() {
 			jsonOut:     *jsonOut,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "edcbench: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
 	if *list {
@@ -135,20 +166,7 @@ func main() {
 		for _, id := range ids {
 			fmt.Printf("%-18s %s\n", id, desc[id])
 		}
-		return
-	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "edcbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "edcbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+		return 0
 	}
 	p := bench.Params{Requests: *requests, VolumeMiB: *volumeMiB, Seed: *seed, Workers: *workers, Shards: *shards, Faults: plan, Maint: *maintOn,
 		Dedup: *dedupOn, DupRatio: *dupRatio, DupUniverse: *dupUni}
@@ -163,29 +181,29 @@ func main() {
 		tables, err = bench.Run(*experiment, p)
 	}
 	if werr := bench.WriteTables(os.Stdout, tables, *format); werr != nil {
-		fmt.Fprintf(os.Stderr, "edcbench: %v\n", werr)
-		os.Exit(1)
+		return fail(werr)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edcbench: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if *format == "table" {
 		fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
 	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "edcbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		runtime.GC() // materialize the steady-state heap
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "edcbench: %v\n", err)
-			os.Exit(1)
-		}
+	return 0
+}
+
+// writeHeapProfile writes the steady-state heap profile to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
+	runtime.GC() // materialize the steady-state heap
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // replayConfig carries the -replay mode flags.

@@ -1,10 +1,10 @@
 // Package bwz implements a Bzip2-class block codec from scratch:
-// Burrows–Wheeler transform (suffix array by prefix doubling), move-to-
-// front, bzip2-style zero run-length coding (RUNA/RUNB bijective base-2)
-// and canonical Huffman entropy coding. It is the slowest and highest-
-// ratio codec in the suite — the paper's Bzip2 reference point, which EDC
-// would reserve for deep-idle periods and which the fixed-Bzip2 baseline
-// applies everywhere (Figs. 2, 8, 10).
+// Burrows–Wheeler transform (suffix array by SA-IS induced sorting),
+// move-to-front, bzip2-style zero run-length coding (RUNA/RUNB
+// bijective base-2) and canonical Huffman entropy coding. It is the
+// slowest and highest-ratio codec in the suite — the paper's Bzip2
+// reference point, which EDC would reserve for deep-idle periods and
+// which the fixed-Bzip2 baseline applies everywhere (Figs. 2, 8, 10).
 //
 // Container layout (bit stream, LSB first):
 //
@@ -46,17 +46,17 @@ func (*Codec) Name() string { return "bwz" }
 // Tag implements compress.Codec.
 func (*Codec) Tag() compress.Tag { return compress.TagBWZ }
 
-// scratch is the per-block compression workspace: the suffix-array
-// int32 arrays dominate bwz's allocation profile (4 slices of block
-// length per block), so they are pooled and reused across Compress
-// calls. A sync.Pool keeps the codec safe for concurrent use by
-// parallel replay workers.
+// scratch is the per-block compression workspace: the suffix sort's
+// arrays (the suffix array, and the bucket counters and LMS lists of
+// every recursion level) dominate bwz's allocation profile, so they are
+// pooled and reused across Compress calls. A sync.Pool keeps the codec
+// safe for concurrent use by parallel replay workers.
 type scratch struct {
-	sa, rank, tmp, cnt []int32
-	l                  []byte   // BWT last column
-	mtfd               []byte   // move-to-front output
-	syms               []uint16 // RLE symbol stream
-	freqs              [numSyms]int64
+	sa, bkt []int32
+	l       []byte   // BWT last column
+	mtfd    []byte   // move-to-front output
+	syms    []uint16 // RLE symbol stream
+	freqs   [numSyms]int64
 
 	// Entropy-coding scratch, reused across blocks and Compress calls.
 	builder huffman.Builder
@@ -90,99 +90,6 @@ func grow32(b []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return b[:n]
-}
-
-// suffixArray returns the suffix array of s+sentinel using prefix
-// doubling with counting-sort passes (O(n log n)); index n (the
-// sentinel) sorts first. The returned slice aliases st.sa.
-func suffixArray(s []byte, st *scratch) []int32 {
-	n := len(s) + 1 // including sentinel
-	st.sa = grow32(st.sa, n)
-	st.rank = grow32(st.rank, n)
-	st.tmp = grow32(st.tmp, n)
-	cntLen := n + 1
-	if cntLen < 257 {
-		cntLen = 257 // round 0 buckets span the byte alphabet + sentinel
-	}
-	st.cnt = grow32(st.cnt, cntLen)
-	sa, rank, tmp, cnt := st.sa, st.rank, st.tmp, st.cnt
-	for i := range cnt {
-		cnt[i] = 0
-	}
-
-	// Round 0: counting sort by first character (sentinel = 0).
-	key0 := func(i int) int32 {
-		if i == n-1 {
-			return 0
-		}
-		return int32(s[i]) + 1
-	}
-	for i := 0; i < n; i++ {
-		cnt[key0(i)]++
-	}
-	for v := int32(1); v <= 256; v++ {
-		cnt[v] += cnt[v-1]
-	}
-	for i := n - 1; i >= 0; i-- {
-		k := key0(i)
-		cnt[k]--
-		sa[cnt[k]] = int32(i)
-	}
-	rank[sa[0]] = 0
-	for i := 1; i < n; i++ {
-		rank[sa[i]] = rank[sa[i-1]]
-		if key0(int(sa[i])) != key0(int(sa[i-1])) {
-			rank[sa[i]]++
-		}
-	}
-
-	for k := 1; int(rank[sa[n-1]]) != n-1; k <<= 1 {
-		// Sort by (rank[i], rank[i+k]) with two radix passes.
-		// Pass 1 (second key): suffixes i >= n-k have empty second key
-		// (smallest); they go first, followed by sa order shifted by -k.
-		idx := 0
-		for i := n - k; i < n; i++ {
-			tmp[idx] = int32(i)
-			idx++
-		}
-		for i := 0; i < n; i++ {
-			if int(sa[i]) >= k {
-				tmp[idx] = sa[i] - int32(k)
-				idx++
-			}
-		}
-		// Pass 2 (first key): stable counting sort by rank.
-		for i := range cnt[:n] {
-			cnt[i] = 0
-		}
-		for i := 0; i < n; i++ {
-			cnt[rank[i]]++
-		}
-		for v := 1; v < n; v++ {
-			cnt[v] += cnt[v-1]
-		}
-		for i := n - 1; i >= 0; i-- {
-			r := rank[tmp[i]]
-			cnt[r]--
-			sa[cnt[r]] = tmp[i]
-		}
-		// Re-rank.
-		second := func(i int32) int32 {
-			if int(i)+k < n {
-				return rank[int(i)+k] + 1
-			}
-			return 0
-		}
-		tmp[sa[0]] = 0
-		for i := 1; i < n; i++ {
-			tmp[sa[i]] = tmp[sa[i-1]]
-			if rank[sa[i]] != rank[sa[i-1]] || second(sa[i]) != second(sa[i-1]) {
-				tmp[sa[i]]++
-			}
-		}
-		copy(rank, tmp)
-	}
-	return sa
 }
 
 // bwt computes the sentinel Burrows–Wheeler transform. It returns the
@@ -288,7 +195,8 @@ func unbwtInto(out, l []byte, primary int, st *decScratch) error {
 }
 
 // mtf applies the move-to-front transform (output length equals input
-// length). The returned slice aliases st.mtfd.
+// length). The returned slice aliases st.mtfd. BWT output is mostly
+// runs, so the two front symbols skip the scan and shift.
 func mtf(src []byte, st *scratch) []byte {
 	var alpha [256]byte
 	for i := range alpha {
@@ -300,12 +208,20 @@ func mtf(src []byte, st *scratch) []byte {
 	st.mtfd = st.mtfd[:len(src)]
 	out := st.mtfd
 	for i, c := range src {
-		// IndexByte is the vectorized scan; every byte value is present in
-		// alpha, so the result is always >= 0.
-		j := bytes.IndexByte(alpha[:], c)
-		out[i] = byte(j)
-		copy(alpha[1:j+1], alpha[:j])
-		alpha[0] = c
+		switch c {
+		case alpha[0]:
+			out[i] = 0
+		case alpha[1]:
+			out[i] = 1
+			alpha[0], alpha[1] = c, alpha[0]
+		default:
+			// IndexByte is the vectorized scan; every byte value is
+			// present in alpha, so j >= 2.
+			j := bytes.IndexByte(alpha[2:], c) + 2
+			out[i] = byte(j)
+			copy(alpha[1:j+1], alpha[:j])
+			alpha[0] = c
+		}
 	}
 	return out
 }

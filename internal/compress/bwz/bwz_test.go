@@ -15,23 +15,6 @@ func TestCorruption(t *testing.T) { codectest.RunRejectsCorruption(t, New()) }
 func TestCompresses(t *testing.T) { codectest.RunCompressesRedundantData(t, New(), 2.5) }
 func BenchmarkCodec(b *testing.B) { codectest.RunBench(b, New()) }
 
-func TestSuffixArraySorted(t *testing.T) {
-	s := []byte("banana")
-	sa := suffixArray(s, new(scratch))
-	if len(sa) != len(s)+1 {
-		t.Fatalf("sa length %d; want %d", len(sa), len(s)+1)
-	}
-	if sa[0] != int32(len(s)) {
-		t.Fatalf("sentinel suffix not first: sa[0]=%d", sa[0])
-	}
-	suffix := func(i int32) string { return string(s[i:]) }
-	for j := 1; j < len(sa)-1; j++ {
-		if suffix(sa[j]) >= suffix(sa[j+1]) {
-			t.Fatalf("suffixes out of order at %d: %q >= %q", j, suffix(sa[j]), suffix(sa[j+1]))
-		}
-	}
-}
-
 func TestBWTKnownVector(t *testing.T) {
 	// banana: sorted sentinel rotations give last column "annb$aa" with $
 	// dropped -> "annbaa", primary = row of original string.
@@ -71,6 +54,14 @@ func TestMTFRoundTrip(t *testing.T) {
 		rng.Read(src)
 		if !bytes.Equal(unmtf(mtf(src, new(scratch))), src) {
 			t.Fatalf("mtf round trip failed (trial %d)", trial)
+		}
+	}
+	// BWT output is run-heavy: the front-of-list fast paths carry most
+	// bytes here.
+	for _, cls := range classes {
+		l, _ := bwt(classBlock(t, cls, 16<<10), new(scratch))
+		if !bytes.Equal(unmtf(mtf(l, new(scratch))), l) {
+			t.Fatalf("mtf round trip failed on %v BWT", cls)
 		}
 	}
 }
