@@ -58,8 +58,8 @@ func TestMTFRoundTrip(t *testing.T) {
 	}
 	// BWT output is run-heavy: the front-of-list fast paths carry most
 	// bytes here.
-	for _, cls := range classes {
-		l, _ := bwt(classBlock(t, cls, 16<<10), new(scratch))
+	for _, cls := range codectest.Classes {
+		l, _ := bwt(codectest.ClassBlock(t, cls, 16<<10), new(scratch))
 		if !bytes.Equal(unmtf(mtf(l, new(scratch))), l) {
 			t.Fatalf("mtf round trip failed on %v BWT", cls)
 		}

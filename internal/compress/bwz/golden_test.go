@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"edc/internal/compress/codectest"
 	"edc/internal/datagen"
 )
 
@@ -21,8 +22,8 @@ const goldenSHA256 = "5b47b3b45e2cc6c59d04cdb7ae2cc35d7353c76b31b8c96277c2d4849f
 // blocks), and a few degenerate inputs.
 func goldenCorpus(tb testing.TB) [][]byte {
 	var in [][]byte
-	for _, cls := range classes {
-		in = append(in, classBlock(tb, cls, 4<<10), classBlock(tb, cls, 64<<10))
+	for _, cls := range codectest.Classes {
+		in = append(in, codectest.ClassBlock(tb, cls, 4<<10), codectest.ClassBlock(tb, cls, 64<<10))
 	}
 	gen := datagen.New(datagen.Enterprise(), 11)
 	in = append(in,

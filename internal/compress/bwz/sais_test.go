@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"edc/internal/compress/codectest"
 )
 
 // doublingSuffixArray is the codec's former suffix sort, kept as the
@@ -194,9 +196,9 @@ func TestSuffixArraySorted(t *testing.T) {
 // reusing one scratch throughout as the codec's pool does.
 func TestSuffixArrayMatchesOracle(t *testing.T) {
 	st := new(scratch)
-	for _, cls := range classes {
+	for _, cls := range codectest.Classes {
 		for _, n := range []int{4 << 10, 64 << 10, 1 << 20} {
-			s := classBlock(t, cls, n)
+			s := codectest.ClassBlock(t, cls, n)
 			checkSuffixArray(t, fmt.Sprintf("%v/%d", cls, n), s, doublingSuffixArray(s), st)
 		}
 	}

@@ -14,10 +14,21 @@
 // stream uses the deflate alphabets: literals 0–255, end-of-block 256,
 // length codes 257–284 (base+extra bits, match lengths 3–258) and 30
 // distance codes (distances 1–32768).
+//
+// The encoder keeps its hash head across calls in pooled scratch: head
+// entries carry a running position count, so entries from earlier
+// inputs are recognised as stale instead of being cleared each call.
+// Length and distance codes come from index tables built at init; the
+// exact size of the Huffman form is computed from the code lengths
+// before anything is written, so an input that would expand goes
+// straight to the stored form.
 package gz
 
 import (
 	"encoding/binary"
+	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"edc/internal/bitio"
@@ -72,33 +83,28 @@ var distCodes = [numDist]struct {
 	{16385, 13}, {24577, 13},
 }
 
-// lengthToCode maps a match length (3..258) to (symbol, extra value, bits).
-func lengthToCode(l int) (sym, extraVal int, extraBits uint) {
-	// Length 258 gets the top code in deflate; here codes cover 3..258 via
-	// the table, with the last bucket {227,5} spanning 227..258.
-	for i := len(lengthCodes) - 1; i >= 0; i-- {
-		if l >= lengthCodes[i].base {
-			return 257 + i, l - lengthCodes[i].base, lengthCodes[i].extra
-		}
+// lengthIndex[l] is the lengthCodes index of match length l: the
+// highest base <= l, so 258 is 227 plus 31 in five extra bits.
+var lengthIndex [maxMatch + 1]uint8
+
+// distIndex holds the distCodes index of distance d at distSlot(d).
+var distIndex [512]uint8
+
+// distSlot maps a distance (1..maxDist) into distIndex, deflate-style:
+// distances up to 256 index directly; beyond, every code spans whole
+// multiples of 128 of d-1, so (d-1)>>7 picks the code.
+func distSlot(d int) int {
+	if d <= 256 {
+		return d - 1
 	}
-	return 257, 0, 0
+	return 256 + (d-1)>>7
 }
 
-// distToCode maps a distance (1..32768) to (symbol, extra value, bits).
-func distToCode(d int) (sym, extraVal int, extraBits uint) {
-	for i := numDist - 1; i >= 0; i-- {
-		if d >= distCodes[i].base {
-			return i, d - distCodes[i].base, distCodes[i].extra
-		}
-	}
-	return 0, 0, 0
-}
-
-// token is one LZ77 output item.
+// token is one LZ77 output item: a literal byte val when dist is 0,
+// otherwise a match of length val at distance dist.
 type token struct {
-	lit  byte
-	dist int32 // 0 ⇒ literal, otherwise match distance
-	len  int32
+	dist uint16
+	val  uint16
 }
 
 // Codec is the gz codec. The zero value is ready to use.
@@ -121,7 +127,12 @@ func hash4(v uint32) uint32 { return (v * 2654435761) >> (32 - hashBits) }
 // compresses thousands of runs per trace); a sync.Pool keeps the codec
 // safe for concurrent use by parallel replay workers.
 type parseState struct {
+	// head and prev hold chained positions as base+pos, where base is
+	// the call's start in a running count that advances by len(src)
+	// each call; entries below base are stale and end a chain. head is
+	// cleared only when the count would wrap, not on every call.
 	head     [hashSize]int32
+	base     int32
 	prev     []int32
 	tokens   []token
 	litFreq  [numLitLen]int64
@@ -156,98 +167,110 @@ type decState struct {
 var decPool = sync.Pool{New: func() interface{} { return new(decState) }}
 
 // parse runs hash-chain LZ77 with one-token lazy evaluation, reusing the
-// state's scratch buffers. The returned token slice aliases st.tokens.
+// state's scratch buffers and counting symbol frequencies as it goes.
+// The returned token slice aliases st.tokens.
 func (st *parseState) parse(src []byte) []token {
-	tokens := st.tokens[:0]
-	if len(src) == 0 {
-		return tokens
+	clear(st.litFreq[:])
+	clear(st.distFreq[:])
+	st.litFreq[eob] = 1
+	n := len(src)
+	base := st.base
+	if base == 0 || int64(base)+int64(n) > math.MaxInt32 { // fresh state, or the count would wrap
+		clear(st.head[:])
+		base = 1
 	}
-	head := &st.head
-	if cap(st.prev) < len(src) {
-		st.prev = make([]int32, len(src))
+	st.base = base + int32(n)
+	if cap(st.prev) < n {
+		st.prev = make([]int32, n)
 	}
 	// Stale prev entries are unreachable: a position is only chained
-	// from head (reset below) after insert overwrites its prev slot.
-	prev := st.prev[:len(src)]
-	for i := range head {
-		head[i] = -1
-	}
-	insert := func(i int) {
-		if i+4 > len(src) {
-			return
-		}
-		h := hash4(binary.LittleEndian.Uint32(src[i:]))
-		prev[i] = head[h]
-		head[h] = int32(i)
-	}
-	// bestMatch finds the longest match for position i.
-	bestMatch := func(i int) (dist, length int) {
-		if i+minMatch > len(src) || i+4 > len(src) {
-			return 0, 0
-		}
-		h := hash4(binary.LittleEndian.Uint32(src[i:]))
-		cand := head[h]
-		limit := len(src) - i
-		if limit > maxMatch {
-			limit = maxMatch
-		}
-		chain := maxChain
-		for cand >= 0 && chain > 0 {
-			c := int(cand)
-			if i-c > maxDist {
-				break
-			}
-			if src[c+length] == src[i+length] { // quick reject on current best
-				l := 0
-				for l < limit && src[c+l] == src[i+l] {
-					l++
-				}
-				if l > length {
-					length = l
-					dist = i - c
-					if l >= niceLength || l >= limit {
-						break
-					}
-				}
-			}
-			cand = prev[c]
-			chain--
-		}
-		if length < minMatch {
-			return 0, 0
-		}
-		return dist, length
+	// from head after it overwrites its own prev slot.
+	prev := st.prev[:n]
+	head := &st.head
+	tokens := st.tokens[:0]
+	literal := func(b byte) {
+		tokens = append(tokens, token{val: uint16(b)})
+		st.litFreq[b]++
 	}
 	i := 0
-	for i < len(src) {
-		dist, length := bestMatch(i)
-		if length >= minMatch {
-			// Lazy: if the next position has a strictly better match, emit
-			// a literal instead and take the longer match next round.
-			if length < niceLength && i+1 < len(src) {
-				insert(i)
-				d2, l2 := bestMatch(i + 1)
-				if l2 > length+1 {
-					tokens = append(tokens, token{lit: src[i]})
-					i++
-					dist, length = d2, l2
-				}
-			} else {
-				insert(i)
-			}
-			tokens = append(tokens, token{dist: int32(dist), len: int32(length)})
-			for j := i + 1; j < i+length; j++ {
-				insert(j)
-			}
-			i += length
+	for i+4 <= n {
+		h := hash4(binary.LittleEndian.Uint32(src[i:]))
+		cand := head[h]
+		prev[i], head[h] = cand, base+int32(i)
+		dist, length := st.longest(src, i, cand, base)
+		if length == 0 {
+			literal(src[i])
+			i++
 			continue
 		}
-		insert(i)
-		tokens = append(tokens, token{lit: src[i]})
-		i++
+		// Lazy: if the next position has a strictly better match, emit
+		// a literal instead and take the longer match from there. That
+		// position is not chained; chaining it would change the frames.
+		if length < niceLength && i+5 <= n {
+			h := hash4(binary.LittleEndian.Uint32(src[i+1:]))
+			if d2, l2 := st.longest(src, i+1, head[h], base); l2 > length+1 {
+				literal(src[i])
+				i++
+				dist, length = d2, l2
+			}
+		}
+		tokens = append(tokens, token{dist: uint16(dist), val: uint16(length)})
+		st.litFreq[257+int(lengthIndex[length])]++
+		st.distFreq[distIndex[distSlot(dist)]]++
+		for j := i + 1; j < min(i+length, n-3); j++ {
+			h := hash4(binary.LittleEndian.Uint32(src[j:]))
+			prev[j], head[h] = head[h], base+int32(j)
+		}
+		i += length
+	}
+	for ; i < n; i++ { // too close to the end to hash
+		literal(src[i])
 	}
 	st.tokens = tokens
 	return tokens
+}
+
+// longest walks the hash chain from cand for the longest match at i
+// (i+4 <= len(src)) and returns it, or (0, 0) below minMatch. Every
+// chain entry visited counts against maxChain, hash collisions
+// included; among equally long matches the nearest wins.
+func (st *parseState) longest(src []byte, i int, cand, base int32) (dist, length int) {
+	prev := st.prev
+	limit := min(len(src)-i, maxMatch)
+	for chain := maxChain; cand >= base && chain > 0; chain-- {
+		c := int(cand - base)
+		if i-c > maxDist {
+			break
+		}
+		if src[c+length] == src[i+length] { // quick reject on current best
+			if l := matchLen(src[c:c+limit], src[i:i+limit]); l > length {
+				length, dist = l, i-c
+				if l >= niceLength || l >= limit {
+					break
+				}
+			}
+		}
+		cand = prev[c]
+	}
+	if length < minMatch {
+		return 0, 0
+	}
+	return dist, length
+}
+
+// matchLen returns the length of the common prefix of a and b, which
+// have equal lengths, comparing eight bytes at a time.
+func matchLen(a, b []byte) int {
+	l := 0
+	for ; l+8 <= len(a); l += 8 {
+		if x := binary.LittleEndian.Uint64(a[l:]) ^ binary.LittleEndian.Uint64(b[l:]); x != 0 {
+			return l + bits.TrailingZeros64(x)>>3
+		}
+	}
+	for l < len(a) && a[l] == b[l] {
+		l++
+	}
+	return l
 }
 
 // storedMagic marks a stored (uncompressed) container: emitted when the
@@ -268,49 +291,27 @@ func (c *Codec) Compress(src []byte) []byte {
 // extended slice. Combined with the pooled parse scratch this makes the
 // replay hot path allocation-free in steady state.
 func (*Codec) AppendCompress(dst, src []byte) []byte {
-	mark := len(dst)
-	out := appendHuffman(dst, src)
-	if len(out)-mark >= len(src)+1 {
-		// The Huffman form expanded: emit the stored container instead,
-		// overwriting it in place.
-		out = append(out[:mark], storedMagic)
-		return append(out, src...)
-	}
-	return out
-}
-
-// appendHuffman appends the Huffman container (with its leading format
-// byte) to dst.
-func appendHuffman(dst, src []byte) []byte {
 	st := statePool.Get().(*parseState)
 	defer statePool.Put(st)
 	tokens := st.parse(src)
+	size := st.buildCodes()
+	if size >= len(src)+1 {
+		// The Huffman form would expand the input: store it instead,
+		// without writing the Huffman form first.
+		return append(append(dst, storedMagic), src...)
+	}
+	return st.emit(slices.Grow(dst, size), tokens)
+}
 
-	litFreq := st.litFreq[:]
-	distFreq := st.distFreq[:]
-	for i := range litFreq {
-		litFreq[i] = 0
-	}
-	for i := range distFreq {
-		distFreq[i] = 0
-	}
-	litFreq[eob] = 1
-	for _, t := range tokens {
-		if t.dist == 0 {
-			litFreq[t.lit]++
-			continue
-		}
-		s, _, _ := lengthToCode(int(t.len))
-		litFreq[s]++
-		ds, _, _ := distToCode(int(t.dist))
-		distFreq[ds]++
-	}
-	litLens, err := st.builder.Build(st.litLens, litFreq, huffman.MaxBits)
+// buildCodes builds both canonical codes from the parse's frequencies
+// and returns the exact byte length of the Huffman container.
+func (st *parseState) buildCodes() int {
+	litLens, err := st.builder.Build(st.litLens, st.litFreq[:], huffman.MaxBits)
 	if err != nil {
 		panic("gz: " + err.Error()) // unreachable: valid freqs by construction
 	}
 	st.litLens = litLens
-	distLens, err := st.builder.Build(st.distLens, distFreq, huffman.MaxBits)
+	distLens, err := st.builder.Build(st.distLens, st.distFreq[:], huffman.MaxBits)
 	if err != nil {
 		panic("gz: " + err.Error())
 	}
@@ -318,44 +319,67 @@ func appendHuffman(dst, src []byte) []byte {
 	if err := st.litEnc.Reset(litLens); err != nil {
 		panic("gz: " + err.Error())
 	}
-	litEnc := &st.litEnc
-	var distEnc *huffman.Encoder
-	hasDist := false
-	for _, l := range distLens {
-		if l > 0 {
-			hasDist = true
-			break
-		}
+	if err := st.distEnc.Reset(distLens); err != nil {
+		panic("gz: " + err.Error())
 	}
-	if hasDist {
-		if err := st.distEnc.Reset(distLens); err != nil {
-			panic("gz: " + err.Error())
-		}
-		distEnc = &st.distEnc
+	nBits := int64(8 + huffman.LengthsBits(litLens) + huffman.LengthsBits(distLens))
+	for s, f := range st.litFreq {
+		nBits += f * int64(litLens[s])
 	}
+	for i, c := range lengthCodes {
+		nBits += st.litFreq[257+i] * int64(c.extra)
+	}
+	for i, f := range st.distFreq {
+		nBits += f * int64(uint(distLens[i])+distCodes[i].extra)
+	}
+	return int((nBits + 7) / 8)
+}
 
+// emit appends the Huffman container for tokens, with the codes
+// buildCodes made, to dst. Codes and extra bits gather in a local
+// accumulator that goes to the writer whenever the next field would
+// take it past 57 bits; a match's length code, length extra bits,
+// distance code and distance extra bits (at most 15+5+15+13 bits) form
+// one field. LSB-first packing makes this the same stream as one write
+// per code.
+func (st *parseState) emit(dst []byte, tokens []token) []byte {
 	var w bitio.Writer
 	w.ResetBuf(dst)
 	w.WriteBits(compressedMagic, 8)
-	huffman.WriteLengths(&w, litLens)
-	huffman.WriteLengths(&w, distLens)
+	huffman.WriteLengths(&w, st.litLens)
+	huffman.WriteLengths(&w, st.distLens)
+	lit, dist := st.litEnc.Codes(), st.distEnc.Codes()
+	var acc uint64
+	var nAcc uint
 	for _, t := range tokens {
+		var v uint64
+		var n uint
 		if t.dist == 0 {
-			_ = litEnc.Encode(&w, int(t.lit))
-			continue
+			c := lit[t.val]
+			v, n = uint64(c.Bits), uint(c.Len)
+		} else {
+			li := lengthIndex[t.val]
+			lc, lx := lit[257+int(li)], lengthCodes[li]
+			di := distIndex[distSlot(int(t.dist))]
+			dc, dx := dist[di], distCodes[di]
+			v, n = uint64(lc.Bits), uint(lc.Len)
+			v |= uint64(int(t.val)-lx.base) << n
+			n += lx.extra
+			v |= uint64(dc.Bits) << n
+			n += uint(dc.Len)
+			v |= uint64(int(t.dist)-dx.base) << n
+			n += dx.extra
 		}
-		s, ev, eb := lengthToCode(int(t.len))
-		_ = litEnc.Encode(&w, s)
-		if eb > 0 {
-			w.WriteBits(uint64(ev), eb)
+		if nAcc+n > 57 {
+			w.WriteBits(acc, nAcc)
+			acc, nAcc = 0, 0
 		}
-		ds, dev, deb := distToCode(int(t.dist))
-		_ = distEnc.Encode(&w, ds)
-		if deb > 0 {
-			w.WriteBits(uint64(dev), deb)
-		}
+		acc |= v << nAcc
+		nAcc += n
 	}
-	_ = litEnc.Encode(&w, eob)
+	c := lit[eob]
+	w.WriteBits(acc, nAcc)
+	w.WriteBits(uint64(c.Bits), uint(c.Len))
 	return w.Bytes()
 }
 
@@ -470,13 +494,27 @@ func (*Codec) DecompressAppend(dst, src []byte, origLen int) ([]byte, error) {
 			if ref < base || len(out)-base+length > origLen {
 				return dst, compress.ErrCorrupt
 			}
-			for k := 0; k < length; k++ {
-				out = append(out, out[ref+k])
+			// One copy when the match does not overlap its output;
+			// otherwise each copy doubles the repeated span.
+			end := len(out) + length
+			out = slices.Grow(out, length)[:end]
+			for pos := end - length; pos < end; {
+				pos += copy(out[pos:end], out[ref:pos])
 			}
 		}
 	}
 }
 
 func init() {
+	for i, c := range lengthCodes {
+		for l := c.base; l <= maxMatch; l++ {
+			lengthIndex[l] = uint8(i)
+		}
+	}
+	for i, c := range distCodes {
+		for d := c.base; d < c.base+1<<c.extra; d++ {
+			distIndex[distSlot(d)] = uint8(i)
+		}
+	}
 	compress.MustRegister(New())
 }

@@ -13,9 +13,15 @@ func TestCorruption(t *testing.T) { codectest.RunRejectsCorruption(t, New()) }
 func TestCompresses(t *testing.T) { codectest.RunCompressesRedundantData(t, New(), 2.2) }
 func BenchmarkCodec(b *testing.B) { codectest.RunBench(b, New()) }
 
+// TestLengthCodeTables checks the linear-scan oracle against the code
+// table and the encoder's lengthIndex against the oracle, for every
+// match length.
 func TestLengthCodeTables(t *testing.T) {
 	for l := 3; l <= 258; l++ {
 		sym, ev, eb := lengthToCode(l)
+		if got := 257 + int(lengthIndex[l]); got != sym {
+			t.Fatalf("length %d: lengthIndex gives symbol %d, oracle %d", l, got, sym)
+		}
 		if sym < 257 || sym >= 257+len(lengthCodes) {
 			t.Fatalf("length %d: bad symbol %d", l, sym)
 		}
@@ -29,9 +35,15 @@ func TestLengthCodeTables(t *testing.T) {
 	}
 }
 
+// TestDistCodeTables checks the linear-scan oracle against the code
+// table and the encoder's distIndex against the oracle, for every
+// distance.
 func TestDistCodeTables(t *testing.T) {
 	for d := 1; d <= maxDist; d++ {
 		sym, ev, eb := distToCode(d)
+		if got := int(distIndex[distSlot(d)]); got != sym {
+			t.Fatalf("dist %d: distIndex gives code %d, oracle %d", d, got, sym)
+		}
 		if sym < 0 || sym >= numDist {
 			t.Fatalf("dist %d: bad symbol %d", d, sym)
 		}

@@ -11,6 +11,7 @@ package huffman
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"edc/internal/bitio"
 )
@@ -37,19 +38,13 @@ type Encoder struct {
 	codes []Code
 }
 
-// node is an internal tree node used during construction. Nodes live in
-// one flat slice and reference children by index, so building a tree
-// costs two slice allocations instead of one per node. seq breaks
-// frequency ties deterministically: leaves get 0..n-1 in symbol order,
-// merged nodes continue the count, exactly as the original
-// pointer-per-node construction did, so the resulting code lengths are
-// unchanged.
+// node is one tree node during construction. Nodes live in one flat
+// slice: the leaves first, sorted by (freq, symbol), then the merged
+// nodes in creation order.
 type node struct {
 	freq   int64
-	symbol int32 // -1 for internal nodes
-	left   int32
-	right  int32
-	seq    int32
+	symbol int32 // leaves only
+	parent int32 // parent index; the depth pass overwrites it with the depth
 }
 
 // BuildLengths computes length-limited code lengths (<= maxBits) for the
@@ -64,18 +59,24 @@ func BuildLengths(freqs []int64, maxBits int) ([]uint8, error) {
 }
 
 // Builder computes code lengths like BuildLengths but keeps the tree
-// construction scratch (the node arena and the index heap) between
-// calls, so steady-state builds allocate only when the caller passes a
-// too-small dst. The zero value is ready to use. Not safe for
+// construction scratch (the node arena and the length-limiting order)
+// between calls, so steady-state builds allocate only when the caller
+// passes a too-small dst. The zero value is ready to use. Not safe for
 // concurrent use; pool Builders alongside the codec scratch instead.
 type Builder struct {
 	nodes []node
-	hp    []int32
+	order []int32
 }
 
 // Build computes length-limited code lengths (<= maxBits) for freqs into
 // dst, growing it as needed (dst may be nil), and returns the slice.
 // The result is identical to BuildLengths for the same inputs.
+//
+// Nodes are merged in (freq, seq) order, where leaves take seq 0..n-1 in
+// symbol order and merged nodes continue the count. Merged frequencies
+// never decrease, so the merged nodes form a queue already in that
+// order; with the leaves sorted once, each step takes the smaller of
+// two queue heads (a leaf on a frequency tie: its seq is lower).
 func (b *Builder) Build(dst []uint8, freqs []int64, maxBits int) ([]uint8, error) {
 	if maxBits <= 0 || maxBits > MaxBits {
 		return nil, fmt.Errorf("huffman: maxBits %d out of range", maxBits)
@@ -84,121 +85,93 @@ func (b *Builder) Build(dst []uint8, freqs []int64, maxBits int) ([]uint8, error
 		dst = make([]uint8, len(freqs))
 	}
 	lengths := dst[:len(freqs)]
-	for i := range lengths {
-		lengths[i] = 0
+	clear(lengths)
+	if cap(b.nodes) < 2*len(freqs) {
+		b.nodes = make([]node, 2*len(freqs))
 	}
-	n := 0
-	for _, f := range freqs {
+	nodes := b.nodes[:0]
+	for sym, f := range freqs {
 		if f > 0 {
-			n++
+			nodes = append(nodes, node{freq: f, symbol: int32(sym)})
 		}
 	}
+	n := len(nodes)
 	switch n {
 	case 0:
 		return lengths, nil
 	case 1:
-		for sym, f := range freqs {
-			if f > 0 {
-				lengths[sym] = 1
-			}
-		}
+		lengths[nodes[0].symbol] = 1
 		return lengths, nil
 	}
-	if cap(b.nodes) < 2*n-1 {
-		b.nodes = make([]node, 0, 2*n-1)
-	}
-	if cap(b.hp) < n {
-		b.hp = make([]int32, 0, n)
-	}
-	nodes := b.nodes[:0]
-	hp := b.hp[:0]
-	seq := int32(0)
-	for sym, f := range freqs {
-		if f > 0 {
-			nodes = append(nodes, node{freq: f, symbol: int32(sym), left: -1, right: -1, seq: seq})
-			hp = append(hp, seq) // leaf index == seq
-			seq++
+	sortLeaves(nodes, nodes[n:2*n])
+	nodes = nodes[:2*n-1]
+	leaf, merged := 0, n
+	take := func(k int32) int32 {
+		if leaf < n && (merged == int(k) || nodes[leaf].freq <= nodes[merged].freq) {
+			leaf++
+			nodes[leaf-1].parent = k
+			return int32(leaf - 1)
 		}
+		merged++
+		nodes[merged-1].parent = k
+		return int32(merged - 1)
 	}
-	// Hand-rolled min-heap of node indices. The (freq, seq) comparison is
-	// a total order, so the pop sequence — and therefore the merge order
-	// and final code lengths — does not depend on heap internals.
-	less := func(a, b int32) bool {
-		if nodes[a].freq != nodes[b].freq {
-			return nodes[a].freq < nodes[b].freq
-		}
-		return nodes[a].seq < nodes[b].seq
+	for k := int32(n); int(k) < len(nodes); k++ {
+		x := take(k)
+		y := take(k)
+		nodes[k] = node{freq: nodes[x].freq + nodes[y].freq}
 	}
-	down := func(i int) {
-		for {
-			l := 2*i + 1
-			if l >= len(hp) {
-				return
-			}
-			j := l
-			if r := l + 1; r < len(hp) && less(hp[r], hp[l]) {
-				j = r
-			}
-			if !less(hp[j], hp[i]) {
-				return
-			}
-			hp[i], hp[j] = hp[j], hp[i]
-			i = j
-		}
+	// Parents sit after their children, so one backward pass from the
+	// root turns every parent link into a depth.
+	root := len(nodes) - 1
+	nodes[root].parent = 0
+	for k := root - 1; k >= 0; k-- {
+		nodes[k].parent = nodes[nodes[k].parent].parent + 1
 	}
-	for i := len(hp)/2 - 1; i >= 0; i-- {
-		down(i)
+	for _, nd := range nodes[:n] {
+		lengths[nd.symbol] = uint8(nd.parent)
 	}
-	pop := func() int32 {
-		min := hp[0]
-		last := len(hp) - 1
-		hp[0] = hp[last]
-		hp = hp[:last]
-		down(0)
-		return min
-	}
-	push := func(x int32) {
-		hp = append(hp, x)
-		for i := len(hp) - 1; i > 0; {
-			parent := (i - 1) / 2
-			if !less(hp[i], hp[parent]) {
-				break
-			}
-			hp[i], hp[parent] = hp[parent], hp[i]
-			i = parent
-		}
-	}
-	for len(hp) > 1 {
-		x := pop()
-		y := pop()
-		nodes = append(nodes, node{freq: nodes[x].freq + nodes[y].freq, symbol: -1, left: x, right: y, seq: seq})
-		push(int32(len(nodes) - 1))
-		seq++
-	}
-	assignDepths(nodes, hp[0], 0, lengths)
-	limitLengths(lengths, maxBits)
-	b.nodes = nodes[:0]
-	b.hp = hp[:0]
+	b.limitLengths(lengths, maxBits)
 	return lengths, nil
 }
 
-func assignDepths(nodes []node, i int32, depth uint8, lengths []uint8) {
-	nd := &nodes[i]
-	if nd.symbol >= 0 {
-		if depth == 0 {
-			depth = 1
-		}
-		lengths[nd.symbol] = depth
-		return
+// sortLeaves sorts leaves, given in symbol order, by (freq, symbol): a
+// stable LSD radix sort on freq that skips the bytes all frequencies
+// share. tmp is scratch of len(leaves) nodes.
+func sortLeaves(leaves, tmp []node) {
+	var or, and uint64 = 0, ^uint64(0)
+	for _, nd := range leaves {
+		or |= uint64(nd.freq)
+		and &= uint64(nd.freq)
 	}
-	assignDepths(nodes, nd.left, depth+1, lengths)
-	assignDepths(nodes, nd.right, depth+1, lengths)
+	src, dst := leaves, tmp
+	for shift := uint(0); shift < 64; shift += 8 {
+		if (or^and)>>shift&0xff == 0 {
+			continue
+		}
+		var start [256]int
+		for _, nd := range src {
+			start[uint64(nd.freq)>>shift&0xff]++
+		}
+		sum := 0
+		for i, c := range start {
+			start[i] = sum
+			sum += c
+		}
+		for _, nd := range src {
+			b := uint64(nd.freq) >> shift & 0xff
+			dst[start[b]] = nd
+			start[b]++
+		}
+		src, dst = dst, src
+	}
+	copy(leaves, src)
 }
 
 // limitLengths rebalances a code-length vector so no length exceeds
 // maxBits, using the classic Kraft-sum repair: overflowing codes are
 // clamped, then lengths are adjusted until sum(2^-len) == 1.
-func limitLengths(lengths []uint8, maxBits int) {
+func (b *Builder) limitLengths(lengths []uint8, maxBits int) {
 	overflow := false
 	for _, l := range lengths {
 		if int(l) > maxBits {
@@ -223,6 +196,12 @@ func limitLengths(lengths []uint8, maxBits int) {
 			lengths[i] = uint8(maxBits)
 		}
 		counts[lengths[i]]++
+	}
+	// pos[l] is where symbols of clamped length l start in the
+	// (length, symbol) order used to re-assign lengths below.
+	var pos [MaxBits + 2]int
+	for l := 1; l <= maxBits; l++ {
+		pos[l+1] = pos[l] + counts[l]
 	}
 	for over > 0 {
 		bits := maxBits - 1
@@ -268,47 +247,29 @@ func limitLengths(lengths []uint8, maxBits int) {
 			counts[bits-1]++
 		}
 	}
-	// Re-assign lengths in order of increasing original length (stable):
-	// collect symbols sorted by (origLen, symbol) and dole out new lengths
-	// from the repaired histogram.
-	type symLen struct {
-		sym int
-		len uint8
+	// Re-assign lengths in order of increasing (clamped) length, then
+	// symbol, doling out new lengths from the repaired histogram.
+	if cap(b.order) < len(lengths) {
+		b.order = make([]int32, len(lengths))
 	}
-	order := make([]symLen, 0, len(lengths))
+	order := b.order[:pos[maxBits+1]]
 	for s, l := range lengths {
 		if l > 0 {
-			order = append(order, symLen{s, l})
+			order[pos[l]] = int32(s)
+			pos[l]++
 		}
 	}
-	// Insertion sort by (len, sym); alphabets are small (<300 symbols).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j-1], order[j]
-			if a.len > b.len || (a.len == b.len && a.sym > b.sym) {
-				order[j-1], order[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
-	idx := 0
 	for l := 1; l <= maxBits; l++ {
 		for c := 0; c < counts[l]; c++ {
-			lengths[order[idx].sym] = uint8(l)
-			idx++
+			lengths[order[0]] = uint8(l)
+			order = order[1:]
 		}
 	}
 }
 
-// reverseBits reverses the low n bits of v.
+// reverseBits reverses the low n bits of v (1 <= n <= 16).
 func reverseBits(v uint16, n uint8) uint16 {
-	var r uint16
-	for i := uint8(0); i < n; i++ {
-		r = r<<1 | (v & 1)
-		v >>= 1
-	}
-	return r
+	return bits.Reverse16(v) >> (16 - n)
 }
 
 // NewEncoderFromLengths builds an Encoder from canonical code lengths.
@@ -404,6 +365,11 @@ func (e *Encoder) Encode(w *bitio.Writer, sym int) error {
 	w.WriteBits(uint64(c.Bits), uint(c.Len))
 	return nil
 }
+
+// Codes returns the code table, indexed by symbol. It aliases the
+// encoder's storage: hot loops index it directly instead of calling
+// Encode per symbol, and must not modify it.
+func (e *Encoder) Codes() []Code { return e.codes }
 
 // CodeLen returns the code length for sym (0 if unused or out of range).
 func (e *Encoder) CodeLen(sym int) int {
@@ -583,6 +549,27 @@ func WriteLengths(w *bitio.Writer, lengths []uint8) {
 		w.WriteBits(uint64(l), 4)
 		i++
 	}
+}
+
+// LengthsBits returns the number of bits WriteLengths writes for
+// lengths, so a container's size can be known before it is written.
+func LengthsBits(lengths []uint8) int {
+	n := 0
+	for i := 0; i < len(lengths); {
+		run := 1
+		if lengths[i] == 0 {
+			for i+run < len(lengths) && lengths[i+run] == 0 && run < 255 {
+				run++
+			}
+		}
+		if lengths[i] == 0 || lengths[i] == 15 {
+			n += 12
+		} else {
+			n += 4
+		}
+		i += run
+	}
+	return n
 }
 
 // ReadLengths parses a vector of n code lengths written by WriteLengths.
